@@ -1,20 +1,16 @@
 #!/usr/bin/env sh
 # Service-mode smoke: pipe the canned JSONL request script through
-# `antidote serve` in BOTH loop modes — the pipelined default and
-# --no-pipeline — and hold each full response transcript to the one
-# committed golden byte-for-byte (the two loops are contractually
-# observationally identical). Responses carry no timings and the script
-# runs sequentially (--threads 1), so the transcript is
+# `antidote serve` and hold the full response transcript to the
+# committed golden byte-for-byte. Responses carry no timings and the
+# script runs sequentially (--threads 1), so the transcript is
 # host-independent.
 #
-#   ci/serve_smoke.sh          check mode (CI): diff both modes' output
+#   ci/serve_smoke.sh          check mode (CI): diff the output
 #   ci/serve_smoke.sh --bless  regenerate ci/serve_smoke.golden in place
 #
 # Protocol-extending changes (a new op, new fields in the deterministic
 # metrics subset) change the transcript; bless mode updates the golden
-# mechanically so the new bytes land in the same commit for review —
-# and still cross-checks the pipelined transcript against it, so a
-# bless can never paper over a loop-mode divergence.
+# mechanically so the new bytes land in the same commit for review.
 # Exits non-zero on a transcript mismatch or a missing binary.
 set -eu
 
@@ -28,17 +24,12 @@ fi
 
 case "${1:-}" in
 --bless)
-    "$BIN" serve --threads 1 --no-pipeline < ci/serve_smoke.jsonl > ci/serve_smoke.golden
-    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl > /tmp/serve_smoke.pipelined.out
-    diff ci/serve_smoke.golden /tmp/serve_smoke.pipelined.out
-    echo "serve_smoke: blessed ci/serve_smoke.golden ($(wc -l < ci/serve_smoke.golden | tr -d ' ') lines; pipelined loop agrees)"
+    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl > ci/serve_smoke.golden
+    echo "serve_smoke: blessed ci/serve_smoke.golden ($(wc -l < ci/serve_smoke.golden | tr -d ' ') lines)"
     ;;
 '')
-    "$BIN" serve --threads 1 --no-pipeline < ci/serve_smoke.jsonl > /tmp/serve_smoke.seq.out
-    diff ci/serve_smoke.golden /tmp/serve_smoke.seq.out
-    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl > /tmp/serve_smoke.pipelined.out
-    diff ci/serve_smoke.golden /tmp/serve_smoke.pipelined.out
-    echo "serve_smoke: OK — both loop modes match the committed golden"
+    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl | diff ci/serve_smoke.golden -
+    echo "serve_smoke: OK — the transcript matches the committed golden"
     ;;
 *)
     echo "usage: ci/serve_smoke.sh [--bless]" >&2

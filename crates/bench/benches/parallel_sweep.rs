@@ -122,7 +122,6 @@ struct ModeStats {
     deadline_degradations: u64,
     warm_state_shared_hits: u64,
     sessions_evicted: u64,
-    parse_overlap_batches: u64,
 }
 
 fn run_mode(
@@ -174,7 +173,6 @@ fn run_mode(
             deadline_degradations: m.deadline_degradations(),
             warm_state_shared_hits: m.warm_state_shared_hits(),
             sessions_evicted: m.sessions_evicted(),
-            parse_overlap_batches: m.parse_overlap_batches(),
         };
     }
     (out, best, stats)
@@ -328,7 +326,6 @@ fn main() {
   "deadline_degradations": {},
   "warm_state_shared_hits": {},
   "sessions_evicted": {},
-  "parse_overlap_batches": {},
   "frontier_peak_disjuncts": {},
   "pool_reuse_count": {},
   "ladder": [
@@ -367,7 +364,6 @@ fn main() {
         cached_stats.deadline_degradations,
         cached_stats.warm_state_shared_hits,
         cached_stats.sessions_evicted,
-        cached_stats.parse_overlap_batches,
         cached_stats.frontier_peak_disjuncts,
         pool_reuse_json,
         ladder_json.join(",\n")

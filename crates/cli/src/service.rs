@@ -22,17 +22,13 @@
 //! least-recently-used session at load time, counted in
 //! `sessions_evicted`.
 //!
-//! Two serve loops produce byte-identical transcripts:
-//! [`serve_loop`] parses, executes, and writes strictly one line at a
-//! time, while [`serve_loop_pipelined`] (the default) overlaps stdin
-//! parsing (a reader thread parses ahead), request execution
-//! (consecutive certify/sweep lines run as one non-coalescing engine
-//! batch), and response writing (a writer thread drains an ordered
-//! queue). Responses are emitted strictly in admission order, and
-//! coalescing is disabled in pipelined batches so every counter is
-//! independent of how far the reader happened to parse ahead —
-//! `--no-pipeline` is the escape hatch, pinned by CI running the smoke
-//! script through both loops against one golden.
+//! Requests are validated once, here at the protocol boundary: the
+//! parser caps nesting depth, integer fields must be exactly
+//! representable, `load` caps the tree depth, and every query point is
+//! checked against its dataset's schema (arity, finite reals, 0/1 on
+//! bool columns) before it reaches the engine. [`serve_loop`] reads
+//! request lines as bytes, so a line that is not UTF-8 is answered with
+//! an error line like any other bad request.
 //!
 //! Responses carry no timings, so a canned script's transcript is
 //! byte-stable — CI diffs one against a committed golden file.
@@ -43,9 +39,10 @@ use antidote_core::{
     WarmStateIndex,
 };
 use antidote_data::{Benchmark, ClassId, DatasetDelta, DatasetRegistry, RowId, Scale};
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -91,9 +88,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting a request may use. The protocol itself
+/// needs six levels (an appended row's values inside a delta); the cap
+/// keeps the recursive-descent parser far from the stack limit on
+/// hostile input.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.
@@ -101,6 +106,7 @@ pub(crate) fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         s: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -149,8 +155,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -318,33 +338,59 @@ fn str_field<'j>(obj: &'j BTreeMap<String, Json>, key: &str) -> Result<&'j str, 
     }
 }
 
-fn usize_field(obj: &BTreeMap<String, Json>, key: &str) -> Result<usize, String> {
-    match field(obj, key)? {
-        Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Ok(*v as usize),
+/// `v` as an exact non-negative integer of type `T`. JSON numbers are
+/// doubles, so anything at or above 2^53 (where `2^53 + 1` already
+/// reads as `2^53`) is rejected rather than rounded, as is anything `T`
+/// cannot hold.
+fn uint<T: TryFrom<u64>>(v: &Json) -> Option<T> {
+    const EXACT_BELOW: f64 = 9_007_199_254_740_992.0; // 2^53
+    match v {
+        Json::Num(x) if *x >= 0.0 && *x < EXACT_BELOW && x.fract() == 0.0 => {
+            T::try_from(*x as u64).ok()
+        }
+        _ => None,
+    }
+}
+
+/// The message for a value [`uint`] refused.
+fn uint_error<T>(what: &str, v: &Json) -> String {
+    let got = match v {
+        Json::Num(x) => x.to_string(),
+        other => other.type_name().to_string(),
+    };
+    format!(
+        "{what} must be an exact non-negative integer (below 2^53, fitting {}), got {got}",
+        std::any::type_name::<T>()
+    )
+}
+
+fn uint_field<T: TryFrom<u64>>(obj: &BTreeMap<String, Json>, key: &str) -> Result<T, String> {
+    let v = field(obj, key)?;
+    uint(v).ok_or_else(|| uint_error::<T>(&format!("field '{key}'"), v))
+}
+
+/// `v` as a point: an array of numbers. `what` names it in errors.
+fn point(v: &Json, what: &str) -> Result<Vec<f64>, String> {
+    match v {
+        Json::Arr(items) => items
+            .iter()
+            .map(|v| match v {
+                Json::Num(x) => Ok(*x),
+                other => Err(format!(
+                    "{what} must contain numbers, got {}",
+                    other.type_name()
+                )),
+            })
+            .collect(),
         other => Err(format!(
-            "field '{key}' must be a non-negative integer, got {}",
+            "{what} must be an array, got {}",
             other.type_name()
         )),
     }
 }
 
 fn point_field(obj: &BTreeMap<String, Json>, key: &str) -> Result<Vec<f64>, String> {
-    match field(obj, key)? {
-        Json::Arr(items) => items
-            .iter()
-            .map(|v| match v {
-                Json::Num(x) => Ok(*x),
-                other => Err(format!(
-                    "field '{key}' must contain numbers, got {}",
-                    other.type_name()
-                )),
-            })
-            .collect(),
-        other => Err(format!(
-            "field '{key}' must be an array, got {}",
-            other.type_name()
-        )),
-    }
+    point(field(obj, key)?, &format!("field '{key}'"))
 }
 
 /// Escapes a string for embedding in a JSON response line.
@@ -421,6 +467,13 @@ fn response_json(handle: &str, response: &Response) -> String {
 // ---------------------------------------------------------------------
 // The service.
 // ---------------------------------------------------------------------
+
+/// Deepest tree a `load` may ask for: twice the deepest the paper
+/// evaluates (4). Cost grows exponentially with depth under Disjuncts
+/// (a depth-8 iris certify already takes tens of seconds), so an
+/// unbounded depth would let one request pin the service; a session's
+/// `timeout` bounds what remains.
+const MAX_DEPTH: usize = 8;
 
 /// One running service instance: the dataset registry, one [`Session`]
 /// per handle, the batching request engine, the warm-state sharing
@@ -507,9 +560,7 @@ impl Service {
         match str_field(obj, "op")? {
             "load" => self.op_load(obj).map(|r| (r, false)),
             "certify" | "sweep" => {
-                let (handle, request) = self.parse_request(obj)?;
-                let session = self.session(&handle)?;
-                self.touch(&handle);
+                let (handle, session, request) = self.admit(obj)?;
                 let responses = self.engine.submit(&[(session, request)], &self.ctx);
                 Ok((response_json(&handle, &responses[0]), false))
             }
@@ -527,6 +578,29 @@ impl Service {
             .get(handle)
             .cloned()
             .ok_or_else(|| format!("no dataset loaded under handle '{handle}'"))
+    }
+
+    /// Parses one certify/sweep request object, resolves its session,
+    /// and checks every query point against the session's schema, so
+    /// nothing malformed reaches the engine. Stamps the handle as used.
+    fn admit(
+        &mut self,
+        obj: &BTreeMap<String, Json>,
+    ) -> Result<(String, Arc<Session>, Request), String> {
+        let (handle, request) = parse_request(obj)?;
+        let session = self.session(&handle)?;
+        let (key, points) = match &request {
+            Request::Certify { x, .. } => ("x", std::slice::from_ref(x)),
+            Request::Sweep { points, .. } => ("points", points.as_slice()),
+        };
+        let ds = session.dataset();
+        for (row, x) in points.iter().enumerate() {
+            ds.schema()
+                .check_values(x, row)
+                .map_err(|e| format!("field '{key}': {e}"))?;
+        }
+        self.touch(&handle);
+        Ok((handle, session, request))
     }
 
     /// Stamps `handle` as most recently used.
@@ -580,7 +654,7 @@ impl Service {
     fn op_load(&mut self, obj: &BTreeMap<String, Json>) -> Result<String, String> {
         let handle = str_field(obj, "handle")?;
         let seed = if obj.contains_key("seed") {
-            usize_field(obj, "seed")? as u64
+            uint_field(obj, "seed")?
         } else {
             0
         };
@@ -600,7 +674,14 @@ impl Service {
         };
         let cfg = SessionConfig {
             depth: if obj.contains_key("depth") {
-                usize_field(obj, "depth")?
+                match uint_field(obj, "depth")? {
+                    d if d > MAX_DEPTH => {
+                        return Err(format!(
+                            "field 'depth' must be at most {MAX_DEPTH}, got {d}"
+                        ))
+                    }
+                    d => d,
+                }
             } else {
                 2
             },
@@ -610,7 +691,7 @@ impl Service {
                 None => antidote_core::DomainKind::Box,
             },
             timeout: if obj.contains_key("timeout") {
-                Some(Duration::from_secs(usize_field(obj, "timeout")? as u64))
+                Some(Duration::from_secs(uint_field(obj, "timeout")?))
             } else {
                 None
             },
@@ -638,51 +719,6 @@ impl Service {
         ))
     }
 
-    /// Parses one certify/sweep request object into `(handle, Request)`.
-    fn parse_request(&self, obj: &BTreeMap<String, Json>) -> Result<(String, Request), String> {
-        parse_request(obj)
-    }
-
-    /// Executes one pipelined batch: consecutive certify/sweep lines,
-    /// already parsed by the reader thread, submitted through the
-    /// engine with coalescing disabled — so batch boundaries (a timing
-    /// artifact of how far the reader parsed ahead) leave every counter
-    /// identical to the sequential loop's one-line-at-a-time submits.
-    /// Returns one response line per item, in admission order.
-    fn run_pipelined_batch(&mut self, items: Vec<BatchItem>) -> Vec<String> {
-        let mut out: Vec<Option<String>> = vec![None; items.len()];
-        let mut batch = Vec::new();
-        let mut slots = Vec::new();
-        let mut handles = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            match item {
-                BatchItem::Work { handle, request } => match self.session(&handle) {
-                    Ok(session) => {
-                        self.touch(&handle);
-                        batch.push((session, request));
-                        slots.push(i);
-                        handles.push(handle);
-                    }
-                    Err(e) => out[i] = Some(error_line(&e)),
-                },
-                BatchItem::Broken(line) => out[i] = Some(line),
-            }
-        }
-        if !batch.is_empty() {
-            if batch.len() >= 2 {
-                self.ctx.metrics().add_parse_overlap_batch();
-            }
-            let engine = self.engine.clone().no_coalesce();
-            let responses = engine.submit(&batch, &self.ctx);
-            for ((&i, handle), response) in slots.iter().zip(&handles).zip(&responses) {
-                out[i] = Some(response_json(handle, response));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every batch item produced a line"))
-            .collect()
-    }
-
     /// `batch`: admits several certify/sweep requests at once through
     /// the request engine — identical in-flight questions coalesce,
     /// distinct ones fan out. Responses come back in admission order.
@@ -699,9 +735,7 @@ impl Service {
         let mut batch = Vec::with_capacity(entries.len());
         let mut handles = Vec::with_capacity(entries.len());
         for entry in entries {
-            let (handle, request) = self.parse_request(entry.as_obj()?)?;
-            let session = self.session(&handle)?;
-            self.touch(&handle);
+            let (handle, session, request) = self.admit(entry.as_obj()?)?;
             batch.push((session, request));
             handles.push(handle);
         }
@@ -770,13 +804,12 @@ impl Service {
         ))
     }
 
-    /// `metrics`: the deterministic counter subset — no watermarks, no
-    /// timings, no host-dependent counts, so transcripts stay
-    /// golden-file stable. `parse_overlap_batches` is deliberately
-    /// absent: how far the pipelined reader parsed ahead is a timing
-    /// artifact, and this line must be byte-identical under both serve
-    /// loops. `cross_request_hit_rate` is the derived warm-path share
-    /// of all served requests (0 before the first request).
+    /// `metrics`: the counter subset free of watermarks, timings, and
+    /// host-dependent counts, so `--threads 1` transcripts stay
+    /// golden-file stable (with more threads the `bestSplit#` memo and
+    /// cache counters depend on which task fills shared state first).
+    /// `cross_request_hit_rate` is the derived warm-path share of all
+    /// served requests (0 before the first request).
     fn op_metrics(&self) -> String {
         let m = self.ctx.metrics();
         let served = m.requests_served();
@@ -815,17 +848,9 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
         match spec {
             Json::Arr(ids) => {
                 for id in ids {
-                    match id {
-                        Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => {
-                            delta.remove(*v as RowId);
-                        }
-                        other => {
-                            return Err(format!(
-                                "'remove' ids must be integers, got {}",
-                                other.type_name()
-                            ))
-                        }
-                    }
+                    let row =
+                        uint::<RowId>(id).ok_or_else(|| uint_error::<RowId>("'remove' ids", id))?;
+                    delta.remove(row);
                 }
             }
             other => {
@@ -842,7 +867,7 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
                 for row in rows {
                     let row = row.as_obj()?;
                     let values = point_field(row, "values")?;
-                    let label = usize_field(row, "label")? as ClassId;
+                    let label = uint_field::<ClassId>(row, "label")?;
                     delta.append(&values, label);
                 }
             }
@@ -859,10 +884,7 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
             Json::Arr(rows) => {
                 for row in rows {
                     let row = row.as_obj()?;
-                    delta.flip_label(
-                        usize_field(row, "row")? as RowId,
-                        usize_field(row, "label")? as ClassId,
-                    );
+                    delta.flip_label(uint_field(row, "row")?, uint_field(row, "label")?);
                 }
             }
             other => {
@@ -880,28 +902,18 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
 }
 
 /// Parses one certify/sweep request object into `(handle, Request)`.
-/// A free function (not a `Service` method) so the pipelined reader
-/// thread can parse ahead without touching service state.
 fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), String> {
     let handle = str_field(obj, "handle")?.to_string();
     let request = match str_field(obj, "op")? {
         "certify" => Request::Certify {
             x: point_field(obj, "x")?,
-            n: usize_field(obj, "n")?,
+            n: uint_field(obj, "n")?,
         },
         "sweep" => {
             let points = match field(obj, "points")? {
                 Json::Arr(items) => items
                     .iter()
-                    .map(|p| match p {
-                        Json::Arr(_) => {
-                            point_field(&BTreeMap::from([("p".to_string(), p.clone())]), "p")
-                        }
-                        other => Err(format!(
-                            "'points' must hold arrays, got {}",
-                            other.type_name()
-                        )),
-                    })
+                    .map(|p| point(p, "'points' entries"))
                     .collect::<Result<Vec<_>, _>>()?,
                 other => {
                     return Err(format!(
@@ -911,7 +923,7 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
                 }
             };
             let max_n = if obj.contains_key("max_n") {
-                Some(usize_field(obj, "max_n")?)
+                Some(uint_field(obj, "max_n")?)
             } else {
                 None
             };
@@ -927,309 +939,49 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
 }
 
 // ---------------------------------------------------------------------
-// The pipelined serve loop.
-// ---------------------------------------------------------------------
-
-/// A certify/sweep line the reader already parsed: either ready to
-/// batch through the engine, or a fixed error emitted at its position.
-enum BatchItem {
-    /// A well-formed request bound for the engine.
-    Work {
-        /// Dataset handle the request names (resolved at flush time).
-        handle: String,
-        /// The parsed request.
-        request: Request,
-    },
-    /// A malformed line whose error response is already known. It stays
-    /// in the pending queue (instead of short-circuiting) so responses
-    /// come out strictly in admission order.
-    Broken(String),
-}
-
-/// What the reader hands the executor for one input line.
-enum Admitted {
-    /// Certify/sweep: parsed ahead, batchable.
-    Batchable(BatchItem),
-    /// Any other line (load, delta, batch, evict, metrics, shutdown,
-    /// unknown ops, non-object JSON): mutates service state or reads
-    /// counters, so it must see every earlier response flushed first.
-    Barrier(String),
-}
-
-/// Classifies one trimmed input line for the pipelined loop. Lines that
-/// aren't certify/sweep objects fall through to [`Service::handle_line`]
-/// as barriers, which reproduces the sequential loop's responses (and
-/// error messages) byte-for-byte.
-fn classify(line: &str) -> Admitted {
-    let parsed = match parse_json(line) {
-        Ok(v) => v,
-        Err(e) => return Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-    };
-    let obj = match parsed.as_obj() {
-        Ok(o) => o,
-        Err(e) => return Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-    };
-    match obj.get("op") {
-        Some(Json::Str(op)) if op == "certify" || op == "sweep" => match parse_request(obj) {
-            Ok((handle, request)) => Admitted::Batchable(BatchItem::Work { handle, request }),
-            Err(e) => Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-        },
-        _ => Admitted::Barrier(line.to_string()),
-    }
-}
-
-/// A small bounded MPSC queue (hand-rolled: the service layer takes no
-/// dependencies). `finish` marks the producer done; `close` tears the
-/// queue down so a blocked producer unsticks and gives up.
-struct Pipe<T> {
-    state: Mutex<PipeState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-struct PipeState<T> {
-    items: VecDeque<T>,
-    done: bool,
-    closed: bool,
-}
-
-/// Result of a non-blocking pop: an item, a momentarily empty queue
-/// (producer still running), or a drained-and-done queue.
-enum TryPop<T> {
-    Item(T),
-    Empty,
-    Done,
-}
-
-impl<T> Pipe<T> {
-    fn new(cap: usize) -> Pipe<T> {
-        Pipe {
-            state: Mutex::new(PipeState {
-                items: VecDeque::new(),
-                done: false,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Blocks until there is room; returns false if the queue closed.
-    fn push(&self, item: T) -> bool {
-        let mut st = self.state.lock().unwrap();
-        while st.items.len() >= self.cap && !st.closed {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return false;
-        }
-        st.items.push_back(item);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Producer is done: consumers drain what's left, then see `None`.
-    fn finish(&self) {
-        self.state.lock().unwrap().done = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Tears the queue down (pending items dropped, producers unstuck).
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        st.done = true;
-        st.items.clear();
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    /// Blocks for the next item; `None` once finished and drained.
-    fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        while st.items.is_empty() && !st.done {
-            st = self.not_empty.wait(st).unwrap();
-        }
-        let item = st.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Non-blocking pop, distinguishing "empty for now" from "done".
-    fn try_pop(&self) -> TryPop<T> {
-        let mut st = self.state.lock().unwrap();
-        match st.items.pop_front() {
-            Some(item) => {
-                self.not_full.notify_one();
-                TryPop::Item(item)
-            }
-            None if st.done => TryPop::Done,
-            None => TryPop::Empty,
-        }
-    }
-}
-
-/// Runs the pipelined serve loop: a reader thread parses requests ahead
-/// of execution, the calling thread executes, and a writer thread
-/// serializes responses — all three stages overlap, responses emitted
-/// strictly in admission order. Consecutive certify/sweep lines are
-/// submitted to the engine as one batch (with coalescing disabled, so
-/// counters match the sequential loop exactly); every other op is a
-/// barrier that waits for earlier responses to flush. Produces a
-/// byte-identical transcript to [`serve_loop`] for any input.
-pub fn serve_loop_pipelined(
-    service: &mut Service,
-    input: impl BufRead + Send,
-    mut output: impl Write + Send,
-) -> std::io::Result<()> {
-    /// How far the reader may parse ahead of execution.
-    const LINE_CAP: usize = 64;
-    /// Largest engine submission one flush will make.
-    const BATCH_CAP: usize = 32;
-    let lines: Pipe<std::io::Result<Admitted>> = Pipe::new(LINE_CAP);
-    let responses: Pipe<String> = Pipe::new(LINE_CAP);
-    let mut result: std::io::Result<()> = Ok(());
-    std::thread::scope(|scope| {
-        let lines = &lines;
-        let responses = &responses;
-        // Reader: trim, skip comments, parse ahead. Stops at EOF, on an
-        // I/O error (forwarded to the executor), or when the executor
-        // closes the queue after `shutdown`.
-        scope.spawn(move || {
-            for line in input.lines() {
-                let item = match line {
-                    Ok(raw) => {
-                        let trimmed = raw.trim();
-                        if trimmed.is_empty() || trimmed.starts_with('#') {
-                            continue;
-                        }
-                        Ok(classify(trimmed))
-                    }
-                    Err(e) => Err(e),
-                };
-                let was_err = item.is_err();
-                if !lines.push(item) || was_err {
-                    break;
-                }
-            }
-            lines.finish();
-        });
-        // Writer: drain responses in admission order.
-        let writer = scope.spawn(move || -> std::io::Result<()> {
-            while let Some(line) = responses.pop() {
-                writeln!(output, "{line}")?;
-                output.flush()?;
-            }
-            Ok(())
-        });
-        // Executor (this thread): accumulate batchable items, flush
-        // when the reader has nothing ready (keeps latency bounded),
-        // when the batch is full, at a barrier, or at end of input.
-        let mut pending: Vec<BatchItem> = Vec::new();
-        let flush = |service: &mut Service, pending: &mut Vec<BatchItem>| -> bool {
-            if pending.is_empty() {
-                return true;
-            }
-            for line in service.run_pipelined_batch(std::mem::take(pending)) {
-                if !responses.push(line) {
-                    return false;
-                }
-            }
-            true
-        };
-        loop {
-            let next = if pending.is_empty() {
-                match lines.pop() {
-                    Some(item) => item,
-                    None => break,
-                }
-            } else {
-                match lines.try_pop() {
-                    TryPop::Item(item) => item,
-                    TryPop::Empty => {
-                        if !flush(service, &mut pending) {
-                            break;
-                        }
-                        continue;
-                    }
-                    TryPop::Done => {
-                        flush(service, &mut pending);
-                        break;
-                    }
-                }
-            };
-            match next {
-                Ok(Admitted::Batchable(item)) => {
-                    pending.push(item);
-                    if pending.len() >= BATCH_CAP && !flush(service, &mut pending) {
-                        break;
-                    }
-                }
-                Ok(Admitted::Barrier(line)) => {
-                    if !flush(service, &mut pending) {
-                        break;
-                    }
-                    let (response, stop) = service.handle_line(&line);
-                    if !responses.push(response) || stop {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    flush(service, &mut pending);
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // Unstick the reader if we stopped early (shutdown / I/O error);
-        // with piped input it exits at its next push or at EOF.
-        lines.close();
-        responses.finish();
-        let wrote = writer.join().expect("writer thread never panics");
-        if result.is_ok() {
-            result = wrote;
-        }
-    });
-    result
-}
-
-// ---------------------------------------------------------------------
 // Subcommands.
 // ---------------------------------------------------------------------
 
-/// Runs the sequential serve loop: requests from `input`, responses to
-/// `output`, one line each, until `shutdown` or EOF. Blank lines and
-/// `#` comment lines are skipped (so canned scripts can be annotated).
-/// This is the `--no-pipeline` fallback; [`serve_loop_pipelined`]
-/// produces byte-identical transcripts while overlapping the stages.
+/// Runs the serve loop: requests from `input`, responses to `output`,
+/// exactly one line each, in admission order, until `shutdown` or EOF.
+/// Blank lines and `#` comment lines are skipped (so canned scripts can
+/// be annotated). Lines are read as bytes: one that is not valid UTF-8
+/// gets an error line and the loop keeps serving.
 pub fn serve_loop(
     service: &mut Service,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        let line = line.trim();
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        let text = String::from_utf8_lossy(&buf);
+        let line = text.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (response, stop) = service.handle_line(line);
+        let (response, stop) = match &text {
+            Cow::Borrowed(_) => service.handle_line(line),
+            // `from_utf8_lossy` only allocates to substitute invalid bytes.
+            Cow::Owned(_) => (error_line("request line is not valid UTF-8"), false),
+        };
         writeln!(output, "{response}")?;
         output.flush()?;
         if stop {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
-/// `antidote serve [--threads k] [--no-pipeline] [--no-share]
-/// [--max-sessions n] [--max-session-bytes b]` — JSONL over
-/// stdin/stdout.
+// The former name, kept only because the `e2ebench/` harness imports it.
+#[doc(hidden)]
+pub use serve_loop as serve_loop_pipelined;
+
+/// `antidote serve [--threads k] [--no-share] [--max-sessions n]
+/// [--max-session-bytes b]` — JSONL over stdin/stdout.
 pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut service = Service::new(args.threads()?);
     if args.no_share() {
@@ -1249,17 +1001,12 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         }
         service = service.max_session_bytes(bytes);
     }
-    let outcome = if args.no_pipeline() {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        serve_loop(&mut service, stdin.lock(), stdout.lock())
-    } else {
-        // The pipelined loop's reader thread needs `Send` endpoints, so
-        // it takes the handles rather than the locks.
-        let input = std::io::BufReader::new(std::io::stdin());
-        serve_loop_pipelined(&mut service, input, std::io::stdout())
-    };
-    outcome.map_err(|e| CliError(format!("serve io: {e}")))
+    serve_loop(
+        &mut service,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+    )
+    .map_err(|e| CliError(format!("serve io: {e}")))
 }
 
 /// `antidote client --script <path> [--threads k]` — replays a request
@@ -1300,7 +1047,7 @@ mod tests {
         .unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(str_field(obj, "op").unwrap(), "certify");
-        assert_eq!(usize_field(obj, "n").unwrap(), 8);
+        assert_eq!(uint_field::<usize>(obj, "n").unwrap(), 8);
         assert_eq!(point_field(obj, "x").unwrap(), vec![0.5, -125.0]);
         let deep = field(obj, "deep").unwrap().as_obj().unwrap();
         assert_eq!(deep.get("t"), Some(&Json::Bool(true)));
@@ -1425,11 +1172,10 @@ mod tests {
         assert!(lines[1].contains("\"op\":\"shutdown\""));
     }
 
-    /// A script touching every op plus the pipelined loop's tricky
-    /// spots: malformed lines between batchable requests (ordered
-    /// inline errors), barriers mid-stream, duplicate requests (warm
-    /// hits), and a trailing metrics line after shutdown that must not
-    /// be answered.
+    /// A script touching every op: malformed lines between requests,
+    /// state-changing ops mid-stream, duplicate requests (warm hits),
+    /// and a trailing metrics line after shutdown that must not be
+    /// answered.
     fn full_protocol_script() -> String {
         [
             "# annotated script",
@@ -1456,24 +1202,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_loop_matches_the_sequential_transcript_byte_for_byte() {
-        let script = full_protocol_script();
-        let mut seq_out = Vec::new();
-        serve_loop(&mut Service::new(1), script.as_bytes(), &mut seq_out).unwrap();
-        let mut pipe_out = Vec::new();
-        serve_loop_pipelined(&mut Service::new(1), script.as_bytes(), &mut pipe_out).unwrap();
-        assert_eq!(
-            String::from_utf8(seq_out).unwrap(),
-            String::from_utf8(pipe_out).unwrap(),
-            "loop modes must be observationally identical"
-        );
-    }
-
-    #[test]
-    fn pipelined_loop_preserves_admission_order_under_inline_errors() {
+    fn serve_loop_answers_every_line_in_admission_order() {
         let script = full_protocol_script();
         let mut out = Vec::new();
-        serve_loop_pipelined(&mut Service::new(1), script.as_bytes(), &mut out).unwrap();
+        serve_loop(&mut Service::new(1), script.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // One response per non-comment line up to and including
@@ -1483,6 +1215,137 @@ mod tests {
         assert!(lines[5].contains("no dataset loaded"), "{}", lines[5]);
         assert!(lines[13].contains("no dataset loaded"), "{}", lines[13]);
         assert!(lines[15].contains("\"op\":\"shutdown\""), "{}", lines[15]);
+    }
+
+    /// A service with 4-feature iris loaded under handle `iris`.
+    fn iris_service() -> Service {
+        let mut svc = Service::new(1);
+        let (r, _) = svc.handle_line(r#"{"op":"load","handle":"iris","dataset":"iris","depth":1}"#);
+        assert!(r.contains("\"ok\":true"), "{r}");
+        svc
+    }
+
+    /// Sends `bad` then a valid certify through [`serve_loop`]: `bad`
+    /// must get exactly one error line containing `needle`, and the
+    /// server must go on to answer the next request.
+    fn rejects_then_serves(bad: &[u8], needle: &str) {
+        let mut svc = iris_service();
+        let mut input = bad.to_vec();
+        input.extend_from_slice(
+            b"\n{\"op\":\"certify\",\"handle\":\"iris\",\"x\":[5.1,3.5,1.4,0.2],\"n\":1}\n",
+        );
+        let mut out = Vec::new();
+        serve_loop(&mut svc, input.as_slice(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].starts_with("{\"ok\":false,\"error\":"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains(needle), "{} missing {needle}", lines[0]);
+        assert!(lines[1].contains("\"verdict\":\"robust\""), "{}", lines[1]);
+    }
+
+    #[test]
+    fn short_point_is_rejected_not_a_panic() {
+        rejects_then_serves(
+            br#"{"op":"certify","handle":"iris","x":[1,2],"n":1}"#,
+            "field 'x': row 0 has 2 features, schema expects 4",
+        );
+    }
+
+    #[test]
+    fn long_point_is_rejected_not_truncated() {
+        rejects_then_serves(
+            br#"{"op":"certify","handle":"iris","x":[5,3.4,1.5,0.2,99],"n":1}"#,
+            "row 0 has 5 features, schema expects 4",
+        );
+    }
+
+    #[test]
+    fn non_finite_point_is_rejected() {
+        rejects_then_serves(
+            br#"{"op":"certify","handle":"iris","x":[1e999,1,1,1],"n":1}"#,
+            "row 0, feature 0: value is not finite",
+        );
+    }
+
+    #[test]
+    fn sweep_and_batch_points_are_validated_too() {
+        rejects_then_serves(
+            br#"{"op":"sweep","handle":"iris","points":[[5.1,3.5,1.4,0.2],[1,-1e999,1,1]]}"#,
+            "field 'points': row 1, feature 1: value is not finite",
+        );
+        rejects_then_serves(
+            br#"{"op":"batch","requests":[{"op":"certify","handle":"iris","x":[5.1,3.5,1.4,0.2],"n":1},{"op":"certify","handle":"iris","x":[1],"n":1}]}"#,
+            "field 'x': row 0 has 1 features",
+        );
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_are_rejected_not_saturated() {
+        rejects_then_serves(
+            br#"{"op":"certify","handle":"iris","x":[5.1,3.5,1.4,0.2],"n":18446744073709551616}"#,
+            "field 'n' must be an exact non-negative integer",
+        );
+        rejects_then_serves(
+            br#"{"op":"certify","handle":"iris","x":[5.1,3.5,1.4,0.2],"n":9007199254740992}"#,
+            "got 9007199254740992",
+        );
+        rejects_then_serves(
+            br#"{"op":"delta","handle":"iris","deltas":[{"flip":[{"row":4294967296,"label":0}]}]}"#,
+            "field 'row' must be an exact non-negative integer",
+        );
+        // The largest exact integer is still accepted.
+        let obj = parse_json(r#"{"n":9007199254740991}"#).unwrap();
+        assert_eq!(
+            uint_field::<u64>(obj.as_obj().unwrap(), "n").unwrap(),
+            9_007_199_254_740_991
+        );
+    }
+
+    #[test]
+    fn load_depth_is_capped() {
+        let mut svc = Service::new(1);
+        let (r, _) =
+            svc.handle_line(r#"{"op":"load","handle":"deep","dataset":"iris","depth":1000000}"#);
+        assert!(r.contains(&format!("must be at most {MAX_DEPTH}")), "{r}");
+        let (r, _) = svc.handle_line(&format!(
+            r#"{{"op":"load","handle":"deep","dataset":"iris","depth":{MAX_DEPTH}}}"#
+        ));
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+
+    #[test]
+    fn parser_nesting_stops_at_the_limit() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        let err = parse_json(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the limit fails the same way instead of overflowing
+        // the stack.
+        rejects_then_serves("[".repeat(200_000).as_bytes(), "nesting deeper than");
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_an_error_line() {
+        rejects_then_serves(b"\xff", "not valid UTF-8");
+        rejects_then_serves(b"{\"op\":\"metrics\xff\"}", "not valid UTF-8");
+        // A comment stays a comment whatever bytes it holds.
+        let mut svc = iris_service();
+        let mut out = Vec::new();
+        serve_loop(
+            &mut svc,
+            &b"# \xfe\xff\n{\"op\":\"shutdown\"}\n"[..],
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "{\"ok\":true,\"op\":\"shutdown\"}\n"
+        );
     }
 
     #[test]

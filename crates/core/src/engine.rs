@@ -69,7 +69,6 @@ pub struct RunMetrics {
     deadline_degradations: AtomicU64,
     warm_state_shared_hits: AtomicU64,
     sessions_evicted: AtomicU64,
-    parse_overlap_batches: AtomicU64,
     pool_batches: AtomicU64,
 }
 
@@ -363,15 +362,6 @@ impl RunMetrics {
         self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one parse-overlap batch: a group of ≥ 2 admitted requests
-    /// the pipelined serve loop's reader thread parsed ahead and handed
-    /// to the engine as a single submission. Batch boundaries are a pure
-    /// function of the input script and the batch cap (count-based, no
-    /// timing), so the counter is deterministic per trace.
-    pub fn add_parse_overlap_batch(&self) {
-        self.parse_overlap_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Total warm-state index joins by newly opened sessions.
     pub fn warm_state_shared_hits(&self) -> u64 {
         self.warm_state_shared_hits.load(Ordering::Relaxed)
@@ -380,11 +370,6 @@ impl RunMetrics {
     /// Total sessions evicted (LRU policy or explicit `evict` op).
     pub fn sessions_evicted(&self) -> u64 {
         self.sessions_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Total multi-request batches formed by the pipelined serve loop.
-    pub fn parse_overlap_batches(&self) -> u64 {
-        self.parse_overlap_batches.load(Ordering::Relaxed)
     }
 
     /// Total `par_map` batches this context's runs dispatched to the
@@ -440,7 +425,6 @@ impl RunMetrics {
             deadline_degradations: self.deadline_degradations(),
             warm_state_shared_hits: self.warm_state_shared_hits(),
             sessions_evicted: self.sessions_evicted(),
-            parse_overlap_batches: self.parse_overlap_batches(),
         }
     }
 
@@ -493,8 +477,6 @@ impl RunMetrics {
             .fetch_add(s.warm_state_shared_hits, Ordering::Relaxed);
         self.sessions_evicted
             .fetch_add(s.sessions_evicted, Ordering::Relaxed);
-        self.parse_overlap_batches
-            .fetch_add(s.parse_overlap_batches, Ordering::Relaxed);
     }
 }
 
@@ -562,9 +544,6 @@ pub struct MetricsSnapshot {
     /// Service sessions dropped by the LRU eviction policy or an
     /// explicit `evict` op.
     pub sessions_evicted: u64,
-    /// Multi-request batches formed by the pipelined serve loop's reader
-    /// thread (deterministic per input trace and batch cap).
-    pub parse_overlap_batches: u64,
 }
 
 impl MetricsSnapshot {

@@ -125,6 +125,43 @@ impl Schema {
         self.classes.len()
     }
 
+    /// Checks one row of feature values against the schema: the right
+    /// number of values, finite reals, and exactly 0 or 1 in bool
+    /// columns. The one value check behind [`DatasetBuilder::push_row`],
+    /// appended delta rows, and the service's query points; `row` only
+    /// labels the error.
+    ///
+    /// # Errors
+    ///
+    /// * [`DataError::ArityMismatch`] — wrong number of values;
+    /// * [`DataError::NonFiniteValue`] — NaN/∞ in a real column;
+    /// * [`DataError::NotBoolean`] — value other than 0/1 in a bool column.
+    pub fn check_values(&self, values: &[f64], row: usize) -> Result<(), DataError> {
+        if values.len() != self.n_features() {
+            return Err(DataError::ArityMismatch {
+                row,
+                got: values.len(),
+                expected: self.n_features(),
+            });
+        }
+        for (feature, (&v, f)) in values.iter().zip(&self.features).enumerate() {
+            match f.kind {
+                FeatureKind::Real if !v.is_finite() => {
+                    return Err(DataError::NonFiniteValue { row, feature });
+                }
+                FeatureKind::Bool if v != 0.0 && v != 1.0 => {
+                    return Err(DataError::NotBoolean {
+                        row,
+                        feature,
+                        value: v,
+                    });
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Renames the classes (e.g. `["white", "black"]`). Extra names are
     /// ignored; missing names keep their defaults.
     pub fn with_class_names<I: IntoIterator<Item = S>, S: Into<String>>(
@@ -705,13 +742,7 @@ impl Dataset {
         flips.retain(|&r, &mut c| self.label(r) != c);
         for (i, (values, label)) in delta.appends.iter().enumerate() {
             let row = old_slots + i;
-            if values.len() != self.n_features() {
-                return Err(DataError::ArityMismatch {
-                    row,
-                    got: values.len(),
-                    expected: self.n_features(),
-                });
-            }
+            self.schema.check_values(values, row)?;
             if (*label as usize) >= self.n_classes() {
                 return Err(DataError::LabelOutOfRange {
                     row,
@@ -721,21 +752,6 @@ impl Dataset {
             }
             if row >= u32::MAX as usize {
                 return Err(DataError::TooManyRows);
-            }
-            for (feature, (&v, col)) in values.iter().zip(self.columns.iter()).enumerate() {
-                match col {
-                    Column::Real(_) if !v.is_finite() => {
-                        return Err(DataError::NonFiniteValue { row, feature });
-                    }
-                    Column::Bool(_) if v != 0.0 && v != 1.0 => {
-                        return Err(DataError::NotBoolean {
-                            row,
-                            feature,
-                            value: v,
-                        });
-                    }
-                    _ => {}
-                }
             }
         }
         let appended = delta.appends.len();
@@ -1135,13 +1151,9 @@ impl DatasetBuilder {
     /// * [`DataError::TooManyRows`] — more than `u32::MAX` rows.
     pub fn push_row(&mut self, values: &[f64], label: ClassId) -> Result<(), DataError> {
         let row = self.labels.len();
-        if values.len() != self.schema.n_features() {
-            return Err(DataError::ArityMismatch {
-                row,
-                got: values.len(),
-                expected: self.schema.n_features(),
-            });
-        }
+        // Validate before mutating any column, so a failed push leaves
+        // the builder unchanged.
+        self.schema.check_values(values, row)?;
         if (label as usize) >= self.schema.n_classes() {
             return Err(DataError::LabelOutOfRange {
                 row,
@@ -1151,23 +1163,6 @@ impl DatasetBuilder {
         }
         if row >= u32::MAX as usize {
             return Err(DataError::TooManyRows);
-        }
-        // Validate all values before mutating any column, so a failed push
-        // leaves the builder unchanged.
-        for (feature, (&v, col)) in values.iter().zip(&self.columns).enumerate() {
-            match col {
-                Column::Real(_) if !v.is_finite() => {
-                    return Err(DataError::NonFiniteValue { row, feature });
-                }
-                Column::Bool(_) if v != 0.0 && v != 1.0 => {
-                    return Err(DataError::NotBoolean {
-                        row,
-                        feature,
-                        value: v,
-                    });
-                }
-                _ => {}
-            }
         }
         for (&v, col) in values.iter().zip(&mut self.columns) {
             match col {
