@@ -22,13 +22,28 @@ if [ ! -x "$BIN" ]; then
     exit 2
 fi
 
+# The request script, with its #@over-long-line marker replaced by a
+# metrics request padded to one byte past the service's line cap
+# (MAX_LINE_BYTES in crates/cli/src/service.rs, 1 MiB).
+script() {
+    LC_ALL=C awk '
+        $0 == "#@over-long-line" {
+            pad = " "
+            while (length(pad) < 1048576) pad = pad pad
+            print "{\"op\":\"metrics\"}" pad
+            next
+        }
+        { print }
+    ' ci/serve_smoke.jsonl
+}
+
 case "${1:-}" in
 --bless)
-    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl > ci/serve_smoke.golden
+    script | "$BIN" serve --threads 1 > ci/serve_smoke.golden
     echo "serve_smoke: blessed ci/serve_smoke.golden ($(wc -l < ci/serve_smoke.golden | tr -d ' ') lines)"
     ;;
 '')
-    "$BIN" serve --threads 1 < ci/serve_smoke.jsonl | diff ci/serve_smoke.golden -
+    script | "$BIN" serve --threads 1 | diff ci/serve_smoke.golden -
     echo "serve_smoke: OK — the transcript matches the committed golden"
     ;;
 *)

@@ -4,6 +4,18 @@
 use antidote_core::DomainKind;
 use antidote_data::{Benchmark, Scale};
 use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// Largest `K` a `hybridK` domain may name: 2^20 disjuncts, over four
+/// times the widest frontier measured on a committed workload (229,304
+/// on the wdbc Disjuncts ladder). Past the frontier's size a larger `K`
+/// changes nothing, so the cap only turns typos into errors.
+pub const MAX_HYBRID_DISJUNCTS: usize = 1 << 20;
+
+/// Longest timeout, in seconds, that `--timeout`, `--deadline` and the
+/// `load` op's `timeout` accept: one day. A deadline is `now + timeout`,
+/// which panics on overflow for values near `u64::MAX` seconds.
+pub const MAX_TIMEOUT_SECS: u64 = 86_400;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]
@@ -83,6 +95,24 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'"))),
+        }
+    }
+
+    /// A duration option in whole seconds, `0` meaning none (`None`).
+    /// Used for `--timeout` (per certify call) and `--deadline` (whole
+    /// ladder).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the value does not parse or exceeds
+    /// [`MAX_TIMEOUT_SECS`].
+    pub fn secs(&self, key: &str, default: u64) -> Result<Option<Duration>, CliError> {
+        match self.get_num(key, default)? {
+            secs if secs > MAX_TIMEOUT_SECS => Err(CliError(format!(
+                "--{key} must be at most {MAX_TIMEOUT_SECS}, got {secs}"
+            ))),
+            0 => Ok(None),
+            secs => Ok(Some(Duration::from_secs(secs))),
         }
     }
 
@@ -228,7 +258,8 @@ impl Args {
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for an unknown identifier.
+/// Returns [`CliError`] for an unknown identifier or a `hybridK` budget
+/// above [`MAX_HYBRID_DISJUNCTS`].
 pub fn parse_domain(s: &str) -> Result<DomainKind, CliError> {
     match s {
         "box" => Ok(DomainKind::Box),
@@ -238,6 +269,11 @@ pub fn parse_domain(s: &str) -> Result<DomainKind, CliError> {
                 let k: usize = k
                     .parse()
                     .map_err(|_| CliError(format!("bad hybrid budget in '{other}'")))?;
+                if k > MAX_HYBRID_DISJUNCTS {
+                    return Err(CliError(format!(
+                        "hybrid budget must be at most {MAX_HYBRID_DISJUNCTS}, got {k}"
+                    )));
+                }
                 Ok(DomainKind::Hybrid {
                     max_disjuncts: k.max(1),
                 })
@@ -292,6 +328,51 @@ mod tests {
         assert!(parse_domain("disjuncts").is_ok());
         assert!(parse_domain("boxy").is_err());
         assert!(parse_domain("hybrid").is_err());
+    }
+
+    #[test]
+    fn hybrid_budget_is_capped() {
+        assert_eq!(
+            parse_domain(&format!("hybrid{MAX_HYBRID_DISJUNCTS}")).unwrap(),
+            DomainKind::Hybrid {
+                max_disjuncts: MAX_HYBRID_DISJUNCTS
+            }
+        );
+        let err = parse_domain(&format!("hybrid{}", MAX_HYBRID_DISJUNCTS + 1)).unwrap_err();
+        assert_eq!(
+            err.0,
+            format!(
+                "hybrid budget must be at most {MAX_HYBRID_DISJUNCTS}, got {}",
+                MAX_HYBRID_DISJUNCTS + 1
+            )
+        );
+    }
+
+    #[test]
+    fn timeout_and_deadline_are_capped() {
+        for key in ["timeout", "deadline"] {
+            let a = Args::parse(argv(&format!("sweep --{key} {MAX_TIMEOUT_SECS}"))).unwrap();
+            assert_eq!(
+                a.secs(key, 10).unwrap(),
+                Some(Duration::from_secs(MAX_TIMEOUT_SECS))
+            );
+            let over = MAX_TIMEOUT_SECS + 1;
+            let a = Args::parse(argv(&format!("sweep --{key} {over}"))).unwrap();
+            assert_eq!(
+                a.secs(key, 10).unwrap_err().0,
+                format!("--{key} must be at most {MAX_TIMEOUT_SECS}, got {over}")
+            );
+            // u64::MAX once overflowed `Instant + Duration` and panicked.
+            let a = Args::parse(argv(&format!("sweep --{key} {}", u64::MAX))).unwrap();
+            assert!(a.secs(key, 10).is_err());
+        }
+        let a = Args::parse(argv("sweep --timeout 0")).unwrap();
+        assert_eq!(a.secs("timeout", 10).unwrap(), None, "0 = no timeout");
+        let a = Args::parse(argv("sweep")).unwrap();
+        assert_eq!(
+            a.secs("timeout", 10).unwrap(),
+            Some(Duration::from_secs(10))
+        );
     }
 
     #[test]

@@ -34,7 +34,6 @@ use antidote_data::{train_test_split, Dataset, DatasetStats, Subset};
 use antidote_tree::eval::accuracy;
 use antidote_tree::learn_tree;
 use args::{Args, CliError};
-use std::time::Duration;
 
 /// Parses `std::env::args`, dispatches the subcommand, and exits with
 /// status 2 (after printing the usage text) on any CLI error — the whole
@@ -153,9 +152,8 @@ fn cmd_certify(args: &Args) -> Result<(), CliError> {
         .subsume(!args.no_subsume())
         .memo(!args.no_memo())
         .simd(!args.no_simd());
-    let timeout = args.get_num("timeout", 0u64)?;
-    if timeout > 0 {
-        certifier = certifier.timeout(Duration::from_secs(timeout));
+    if let Some(timeout) = args.secs("timeout", 0)? {
+        certifier = certifier.timeout(timeout);
     }
     let x = test.row_values(index);
     let out = certifier.certify(&x, n);
@@ -217,10 +215,9 @@ fn cmd_flip(args: &Args) -> Result<(), CliError> {
             test.len()
         )));
     }
-    let timeout = args.get_num("timeout", 0u64)?;
     let ctx = ExecContext::new()
         .threads(args.threads()?)
-        .maybe_timeout((timeout > 0).then(|| Duration::from_secs(timeout)));
+        .maybe_timeout(args.secs("timeout", 0)?);
     let x = test.row_values(index);
     let out = certify_label_flips(&train, &x, depth, n, &ctx);
     println!(
@@ -299,21 +296,17 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     let (train, test) = load(args)?;
     let depth = args.get_num("depth", 2usize)?;
     let points = args.get_num("points", test.len())?.min(test.len());
-    let timeout = args.get_num("timeout", 10u64)?;
     let cfg = SweepConfig {
         depth,
         domain: args.domain()?,
-        timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
+        timeout: args.secs("timeout", 10)?,
         threads: args.threads()?,
         cache: !args.no_cache(),
         subsume: !args.no_subsume(),
         memo: !args.no_memo(),
         simd: !args.no_simd(),
         schedule: !args.no_schedule(),
-        deadline: {
-            let secs = args.get_num("deadline", 0u64)?;
-            (secs > 0).then(|| Duration::from_secs(secs))
-        },
+        deadline: args.secs("deadline", 0)?,
         probe_budget: {
             let k = args.get_num("probe-budget", 0u64)?;
             (k > 0).then_some(k)
@@ -374,7 +367,7 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
     let (train, test) = load(args)?;
     let depth = args.get_num("depth", 2usize)?;
     let points = args.get_num("points", test.len())?.min(test.len());
-    let timeout = args.get_num("timeout", 10u64)?;
+    let timeout = args.secs("timeout", 10)?;
     let steps = args.get_num("steps", 3usize)?;
     let fraction = args.get_num("mutate", 0.01f64)?;
     let seed = args.get_num("seed", 0u64)?;
@@ -392,7 +385,7 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
         sweep: SweepConfig {
             depth,
             domain: args.domain()?,
-            timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
+            timeout,
             threads: args.threads()?,
             subsume: !args.no_subsume(),
             memo: !args.no_memo(),

@@ -27,13 +27,14 @@
 //! representable, `load` caps the tree depth, and every query point is
 //! checked against its dataset's schema (arity, finite reals, 0/1 on
 //! bool columns) before it reaches the engine. [`serve_loop`] reads
-//! request lines as bytes, so a line that is not UTF-8 is answered with
-//! an error line like any other bad request.
+//! request lines as bytes, at most [`MAX_LINE_BYTES`] of each, so a line
+//! that is not UTF-8 or is too long is answered with an error line like
+//! any other bad request.
 //!
 //! Responses carry no timings, so a canned script's transcript is
 //! byte-stable — CI diffs one against a committed golden file.
 
-use crate::args::{parse_domain, Args, CliError};
+use crate::args::{parse_domain, Args, CliError, MAX_TIMEOUT_SECS};
 use antidote_core::{
     ExecContext, LadderRung, Request, RequestEngine, Response, Session, SessionConfig, Verdict,
     WarmStateIndex,
@@ -691,7 +692,14 @@ impl Service {
                 None => antidote_core::DomainKind::Box,
             },
             timeout: if obj.contains_key("timeout") {
-                Some(Duration::from_secs(uint_field(obj, "timeout")?))
+                match uint_field(obj, "timeout")? {
+                    t if t > MAX_TIMEOUT_SECS => {
+                        return Err(format!(
+                            "field 'timeout' must be at most {MAX_TIMEOUT_SECS}, got {t}"
+                        ))
+                    }
+                    t => Some(Duration::from_secs(t)),
+                }
             } else {
                 None
             },
@@ -942,11 +950,69 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
 // Subcommands.
 // ---------------------------------------------------------------------
 
+/// Longest request line [`serve_loop`] accepts, in bytes, not counting
+/// its `\n`: 1 MiB, over three times a 60-point sweep of 784-pixel
+/// points written as `255.0,` (about 0.3 MB). Without a cap, a line that
+/// never ends would grow the read buffer until memory runs out.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line_capped`] found.
+#[derive(Debug, PartialEq)]
+enum LineRead {
+    /// End of input before any byte.
+    Eof,
+    /// A line of at most [`MAX_LINE_BYTES`], now in the buffer.
+    Line,
+    /// A longer line, read to its `\n` (or EOF) and dropped.
+    TooLong,
+}
+
+/// Reads one line into `buf` (without its `\n`), keeping at most
+/// [`MAX_LINE_BYTES`] of it: past the cap the buffer is cleared and the
+/// rest of the line is consumed from `input` without being stored.
+fn read_line_capped(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    buf.clear();
+    let mut read_any = false;
+    let mut too_long = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let content = newline.unwrap_or(chunk.len());
+        if !too_long {
+            if buf.len() + content > MAX_LINE_BYTES {
+                too_long = true;
+                *buf = Vec::new();
+            } else {
+                buf.extend_from_slice(&chunk[..content]);
+            }
+        }
+        input.consume(newline.map_or(content, |i| i + 1));
+        if newline.is_some() {
+            break;
+        }
+    }
+    Ok(match (read_any, too_long) {
+        (false, _) => LineRead::Eof,
+        (true, false) => LineRead::Line,
+        (true, true) => LineRead::TooLong,
+    })
+}
+
 /// Runs the serve loop: requests from `input`, responses to `output`,
 /// exactly one line each, in admission order, until `shutdown` or EOF.
 /// Blank lines and `#` comment lines are skipped (so canned scripts can
 /// be annotated). Lines are read as bytes: one that is not valid UTF-8
-/// gets an error line and the loop keeps serving.
+/// gets an error line and the loop keeps serving. So does any line
+/// longer than [`MAX_LINE_BYTES`], comment or not: it is drained to its
+/// `\n` without being buffered.
 pub fn serve_loop(
     service: &mut Service,
     mut input: impl BufRead,
@@ -954,9 +1020,15 @@ pub fn serve_loop(
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        if input.read_until(b'\n', &mut buf)? == 0 {
-            return Ok(());
+        match read_line_capped(&mut input, &mut buf)? {
+            LineRead::Eof => return Ok(()),
+            LineRead::TooLong => {
+                let message = format!("request line is longer than {MAX_LINE_BYTES} bytes");
+                writeln!(output, "{}", error_line(&message))?;
+                output.flush()?;
+                continue;
+            }
+            LineRead::Line => {}
         }
         let text = String::from_utf8_lossy(&buf);
         let line = text.trim();
@@ -1316,6 +1388,86 @@ mod tests {
             r#"{{"op":"load","handle":"deep","dataset":"iris","depth":{MAX_DEPTH}}}"#
         ));
         assert!(r.contains("\"ok\":true"), "{r}");
+    }
+
+    #[test]
+    fn over_long_lines_get_one_error_line() {
+        // A line at the cap is read (trailing blanks are trimmed, so this
+        // is a metrics request); one byte more is refused.
+        let padded = |len: usize| {
+            let mut line = br#"{"op":"metrics"}"#.to_vec();
+            line.resize(len, b' ');
+            line
+        };
+        let mut svc = iris_service();
+        let mut out = Vec::new();
+        serve_loop(&mut svc, padded(MAX_LINE_BYTES).as_slice(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.starts_with(r#"{"ok":true,"op":"metrics""#), "{text}");
+        rejects_then_serves(
+            &padded(MAX_LINE_BYTES + 1),
+            &format!("request line is longer than {MAX_LINE_BYTES} bytes"),
+        );
+        // Over-long comments and blank runs are answered too: the loop
+        // cannot tell what a line is without buffering it.
+        rejects_then_serves(&vec![b'#'; MAX_LINE_BYTES + 1], "longer than");
+        rejects_then_serves(&vec![b' '; 3 * MAX_LINE_BYTES], "longer than");
+    }
+
+    #[test]
+    fn over_long_lines_are_drained_without_buffering() {
+        use std::io::Read;
+        // Eight caps' worth of bytes, then a short line, then EOF without
+        // a final newline.
+        let input = std::io::repeat(b'x')
+            .take(8 * MAX_LINE_BYTES as u64)
+            .chain(&b"\nnext"[..]);
+        let mut input = std::io::BufReader::new(input);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_line_capped(&mut input, &mut buf).unwrap(),
+            LineRead::TooLong
+        );
+        assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+        assert_eq!(
+            read_line_capped(&mut input, &mut buf).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(buf, b"next");
+        assert_eq!(
+            read_line_capped(&mut input, &mut buf).unwrap(),
+            LineRead::Eof
+        );
+    }
+
+    #[test]
+    fn load_timeout_and_hybrid_budget_are_capped() {
+        use crate::args::MAX_HYBRID_DISJUNCTS;
+        let mut svc = Service::new(1);
+        let load = |field: &str| {
+            format!(r#"{{"op":"load","handle":"h","dataset":"iris","depth":1,{field}}}"#)
+        };
+        let (r, _) = svc.handle_line(&load(&format!(r#""timeout":{MAX_TIMEOUT_SECS}"#)));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        let over = MAX_TIMEOUT_SECS + 1;
+        let (r, _) = svc.handle_line(&load(&format!(r#""timeout":{over}"#)));
+        assert!(
+            r.contains(&format!(
+                "field 'timeout' must be at most {MAX_TIMEOUT_SECS}, got {over}"
+            )),
+            "{r}"
+        );
+        let hybrid = |k: usize| load(&format!(r#""domain":"hybrid{k}""#));
+        let (r, _) = svc.handle_line(&hybrid(MAX_HYBRID_DISJUNCTS));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        let (r, _) = svc.handle_line(&hybrid(MAX_HYBRID_DISJUNCTS + 1));
+        assert!(
+            r.contains(&format!(
+                "hybrid budget must be at most {MAX_HYBRID_DISJUNCTS}, got {}",
+                MAX_HYBRID_DISJUNCTS + 1
+            )),
+            "{r}"
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! requests with a byte overwritten, inserted, or cut off, raw random
 //! bytes, and the inputs that once crashed or fooled the service (short
 //! and long points, non-finite values, integers past 2^53, absurd
-//! depths, deep nesting, invalid UTF-8). CI runs it in release.
+//! depths, deep nesting, invalid UTF-8, lines past the length cap). CI
+//! runs it in release.
 
-use antidote_cli::service::{serve_loop, Service};
+use antidote_cli::service::{serve_loop, Service, MAX_LINE_BYTES};
 use proptest::prelude::*;
 
 /// SplitMix64: derives as many pseudo-random words from one generated
@@ -95,10 +96,19 @@ fn template(kind: u64, r: &mut u64) -> Vec<u8> {
                 "[".repeat(100 + (mix(r) % 1000) as usize),
                 r#"{"op":"sweep","handle":"iris","points":[[[[[[[[[[[]]]]]]]]]]]}"#.to_string(),
             ];
-            nasty[(mix(r) % nasty.len() as u64) as usize].clone()
+            match (mix(r) % (nasty.len() as u64 + 1)) as usize {
+                i if i < nasty.len() => nasty[i].clone(),
+                _ => over_long(r#"{"op":"metrics"}"#, (mix(r) % 3) as usize),
+            }
         }
     };
     line.into_bytes()
+}
+
+/// `line` padded with blanks to `MAX_LINE_BYTES + extra` bytes: at
+/// `extra = 0` it is read (blanks are trimmed), past that it is refused.
+fn over_long(line: &str, extra: usize) -> String {
+    line.to_string() + &" ".repeat(MAX_LINE_BYTES + extra - line.len())
 }
 
 /// Overwrites, inserts, or cuts off at one byte — or leaves the line
@@ -122,12 +132,18 @@ fn mutate(mut line: Vec<u8>, r: &mut u64) -> Vec<u8> {
     line
 }
 
-/// The lines the server must answer: non-blank, non-`#`, in order.
+/// The lines the server must answer, in order: every line longer than
+/// `MAX_LINE_BYTES`, and every other non-blank, non-`#` line.
 fn answerable(stream: &[u8]) -> Vec<String> {
     stream
         .split(|&b| b == b'\n')
-        .map(|l| String::from_utf8_lossy(l).trim().to_string())
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| {
+            if l.len() > MAX_LINE_BYTES {
+                return Some(format!("<{} bytes>", l.len()));
+            }
+            let l = String::from_utf8_lossy(l).trim().to_string();
+            (!l.is_empty() && !l.starts_with('#')).then_some(l)
+        })
         .collect()
 }
 
@@ -186,5 +202,39 @@ proptest! {
             );
             prop_assert!(response.ends_with('}'), "truncated response: {response}");
         }
+    }
+}
+
+/// Lines past the cap — a request, a comment, a blank run, the last line
+/// without its `\n` — each get exactly one error line, and the server
+/// answers what follows them.
+#[test]
+fn over_long_lines_get_one_error_line_each() {
+    let certify = r#"{"op":"certify","handle":"iris","x":[5.1,3.5,1.4,0.2],"n":1}"#;
+    let lines = [
+        over_long(certify, 1),
+        certify.to_string(),
+        over_long("# a comment", 7),
+        over_long("", 2 * MAX_LINE_BYTES),
+        over_long(certify, 0),
+        over_long(r#"{"op":"metrics"}"#, 1),
+    ];
+    let stream = lines.join("\n");
+    let mut out = Vec::new();
+    serve_loop(&mut preloaded(), stream.as_bytes(), &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let responses: Vec<&str> = text.lines().collect();
+    let too_long =
+        format!(r#"{{"ok":false,"error":"request line is longer than {MAX_LINE_BYTES} bytes"}}"#);
+    assert_eq!(responses.len(), lines.len(), "{responses:?}");
+    for i in [0, 2, 3, 5] {
+        assert_eq!(responses[i], too_long, "line {i}");
+    }
+    for i in [1, 4] {
+        assert!(
+            responses[i].contains(r#""verdict":"robust""#),
+            "{}",
+            responses[i]
+        );
     }
 }

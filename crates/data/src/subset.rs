@@ -440,6 +440,33 @@ impl Subset {
         Subset::seal(words, count, class_counts)
     }
 
+    /// Per-class counts of the rows in `self ∩ mask`, written into `out`
+    /// (one slot per class); returns their total. One AND-popcount pass
+    /// per class against [`Dataset::class_mask`], with `mask` words past
+    /// its end taken as zero (so the `&[]` "no row qualifies" mask of
+    /// [`Dataset::le_mask`] counts nothing). The boolean split sweeps
+    /// count a 0/1 feature's `≤ 0.5` side this way instead of walking
+    /// rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has more slots than `ds` has classes.
+    pub fn class_counts_within(&self, ds: &Dataset, mask: &[u64], out: &mut [u32]) -> usize {
+        let mut total = 0;
+        for (class, count) in out.iter_mut().enumerate() {
+            *count = self
+                .repr
+                .words
+                .iter()
+                .zip(mask)
+                .zip(ds.class_mask(class as ClassId))
+                .map(|((&w, &m), &c)| (w & m & c).count_ones())
+                .sum();
+            total += *count as usize;
+        }
+        total
+    }
+
     /// Removes the rows of `other` from `self` (set difference), used by the
     /// enumeration baseline to materialise elements of `Δn(T)`.
     pub fn difference(&self, ds: &Dataset, other: &Subset) -> Subset {
@@ -648,6 +675,25 @@ mod tests {
         assert!(zeros.is_pure());
         assert_eq!(zeros.count_of(0), 3);
         assert_eq!(zeros.count_of(1), 0);
+    }
+
+    #[test]
+    fn class_counts_within_matches_filter_cmp() {
+        let ds = tiny();
+        let s = Subset::from_indices(&ds, vec![0, 2, 3, 5]);
+        let mut out = [9u32; 2];
+        for tau in [-1.0, 0.0, 2.5, 3.0, 10.0] {
+            let mask = ds.le_mask(0, tau, false).unwrap();
+            let len = s.class_counts_within(&ds, mask, &mut out);
+            let filtered = s.filter_cmp(&ds, 0, tau, ThresholdCmp::Le);
+            assert_eq!(out, filtered.class_counts(), "tau {tau}");
+            assert_eq!(len, filtered.len());
+        }
+        assert_eq!(
+            Subset::empty(2).class_counts_within(&ds, &[!0], &mut out),
+            0
+        );
+        assert_eq!(out, [0, 0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Gini impurity and the greedy `bestSplit` search (paper Fig. 5, §3.3).
 
 use crate::predicate::{midpoint, Predicate};
-use antidote_data::{Dataset, RowId, Subset};
+use antidote_data::{Dataset, FeatureKind, RowId, Subset};
 
 /// Classification probability vector `cprob(T)` (Fig. 5): the fraction of
 /// rows in each class.
@@ -82,12 +82,20 @@ pub struct SplitChoice {
 /// stable precomputed order restricted to a subset equals a stable sort
 /// of that subset, so both paths produce the identical visit sequence.
 ///
+/// A boolean feature has at most one candidate, the 0 → 1 boundary, so
+/// it skips the row walk: [`bool_left_counts`] counts its `x ≤ 0.5` side
+/// by AND-popcount and the callback runs once, with threshold 0.5, iff
+/// both sides are non-empty — the exact visit the walk would make.
+///
 /// Both the concrete search here and the abstract `bestSplit#` in
 /// `antidote-core` are built on this sweep.
 pub fn sweep_feature<F>(ds: &Dataset, subset: &Subset, feature: usize, mut visit: F)
 where
     F: FnMut(f64, &[u32], usize),
 {
+    if ds.schema().features()[feature].kind == FeatureKind::Bool {
+        return sweep_bool_feature(ds, subset, feature, visit);
+    }
     let mut left_counts = vec![0u32; subset.n_classes()];
     let mut seen = 0usize;
     let mut prev = f64::NAN;
@@ -115,6 +123,45 @@ where
             step(r, &mut visit);
         }
     }
+}
+
+/// The boolean branch of [`sweep_feature`], kept out of line so the
+/// real-feature walk beside it compiles as it did without it.
+#[inline(never)]
+fn sweep_bool_feature<F>(ds: &Dataset, subset: &Subset, feature: usize, mut visit: F)
+where
+    F: FnMut(f64, &[u32], usize),
+{
+    let mut left_counts = vec![0u32; subset.n_classes()];
+    if let Some(left_len) = bool_left_counts(ds, subset, feature, &mut left_counts) {
+        visit(midpoint(0.0, 1.0), &left_counts, left_len);
+    }
+}
+
+/// The candidate of boolean `feature` on `subset`: writes the class
+/// counts of the subset's `x ≤ 0.5` (value 0) rows into `left` and
+/// returns their number, or `None` when the split is trivial (all of the
+/// subset's rows on one side). One AND-popcount pass per class over the
+/// subset's words, the feature's 0-mask ([`Dataset::le_mask`]) and the
+/// class mask, instead of a walk over every row of the feature order.
+///
+/// `feature` must be a boolean column (checked in debug builds).
+///
+/// # Panics
+///
+/// Panics if `left` has more slots than the dataset has classes.
+pub fn bool_left_counts(
+    ds: &Dataset,
+    subset: &Subset,
+    feature: usize,
+    left: &mut [u32],
+) -> Option<usize> {
+    debug_assert_eq!(ds.schema().features()[feature].kind, FeatureKind::Bool);
+    let zeros = ds
+        .le_mask(feature, 0.5, false)
+        .expect("a boolean column has two values, so it is always indexed");
+    let left_len = subset.class_counts_within(ds, zeros, left);
+    (left_len > 0 && left_len < subset.len()).then_some(left_len)
 }
 
 /// Cutover between the two [`sweep_feature`] row sources: walking the
